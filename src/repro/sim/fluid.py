@@ -14,8 +14,9 @@ per-resource cost weights): all unfixed flows grow at the same payload
 rate until some resource saturates; flows crossing that resource are
 frozen at the bottleneck rate; repeat.  Whenever the set of active
 flows changes, every flow's progress is advanced to the current time
-and the allocation recomputed, so completion times are exact for the
-piecewise-constant rate schedule.
+and the allocation of each component the change touched is
+recomputed, so completion times are exact for the piecewise-constant
+rate schedule.
 
 This model is what makes the paper's central results emerge
 mechanically rather than by curve fitting:
@@ -26,36 +27,39 @@ mechanically rather than by curve fitting:
   memory bus, which caps the pipelined design near ``bus_bw / 3``;
 * two MPI streams over one link each get half the wire.
 
-Solvers
--------
-The default solver (``solver="vector"``) runs the progressive-filling
-loop over numpy arrays: one division and one argmin across all
-resources per filling level, plus a *zero-cascade* that retires every
-already-saturated resource in a single pass instead of one loop
-iteration each.  It is bit-for-bit equivalent to the historical
-per-dict scalar loop, which is kept as ``solver="scalar"`` purely as a
-reference implementation for the equivalence suite
-(``tests/test_fluid_vector_equivalence.py``); simulated physics must
-not depend on which solver ran.
+Component-local re-solve
+------------------------
+Max-min fairness splits exactly over the connected components of the
+flow–resource graph (flows joined through the resources they share):
+the allocation over a disjoint union is the union of the
+allocations.  A component no event touched therefore keeps its
+rates, and a re-solve only has to revisit what changed.  A flow's
+start or finish marks the resources on its route; the next re-solve
+walks ``res.flows`` from each marked resource to the closure of
+active flows reachable from it, splits that closure into its
+components, and solves each one on its own, leaving every other
+flow's rate untouched.
 
-Equivalence rests on three facts, each locked down by tests:
+* A single-flow component — the common case in a large world — takes
+  the closed form ``min(capacity / summed cost)`` over its route.
+* A larger component runs progressive filling over numpy arrays: one
+  division and one argmin across its resources per filling level,
+  plus a *zero-cascade* that retires every already-saturated resource
+  in one pass.  Its flows are taken in creation order, so a
+  component's rates are a function of its flow set alone, not of
+  which event found it.
 
-* elementwise array arithmetic performs the same IEEE-754 operations
-  the scalar loop performed per resource, in an order-insensitive
-  pattern (no cross-element dependencies);
-* column order replicates the legacy weight-dict insertion order
-  (first appearance while scanning active flows in order), so the
-  bottleneck tie-break — first within-epsilon candidate wins — picks
-  the same resource; near-ties inside the epsilon band fall back to an
-  exact replica of the scalar fold;
-* in-practice cost weights are small integers, so regrouped sums are
-  exact; non-integer weights take a scalar accumulation path that
-  preserves the legacy operation order.
+``tests/test_fluid_properties.py`` checks the result against a
+from-scratch global progressive-filling reference and the max-min
+optimality certificate, and that an event in one component leaves
+every other component's rates bit-identical.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,10 +70,9 @@ __all__ = ["FluidResource", "Flow", "FluidNetwork"]
 
 _EPS = 1e-15
 
-#: stable creation-order ids for resources/flows: dict keys derived
-#: from them are reproducible across runs, unlike ``id()``.
-_resource_uids = itertools.count()
+#: creation-order ids: a component's flows are solved in uid order
 _flow_uids = itertools.count()
+_by_uid = operator.attrgetter("uid")
 
 
 class FluidResource:
@@ -78,15 +81,18 @@ class FluidResource:
     ``capacity`` is in resource-bytes per second.
     """
 
-    __slots__ = ("uid", "name", "capacity", "flows", "busy_time",
+    __slots__ = ("name", "capacity", "flows", "busy_time",
                  "_busy_since", "bytes_served")
 
     def __init__(self, name: str, capacity: float):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.uid = next(_resource_uids)
+        # written so that NaN fails too: every comparison with NaN is
+        # false
+        if not (0 < capacity < math.inf):
+            raise ValueError(
+                f"capacity must be positive and finite, got {capacity}")
         self.name = name
         self.capacity = float(capacity)
+        #: active flows crossing this resource, in start order
         self.flows: List["Flow"] = []
         # utilization accounting (for stats / debugging)
         self.busy_time = 0.0
@@ -101,20 +107,20 @@ class Flow:
     """One in-flight transfer."""
 
     __slots__ = ("uid", "nbytes", "remaining", "route", "rate", "done",
-                 "label", "started_at", "finished_at", "_pairs",
-                 "_int_costs", "_scan", "_idx")
+                 "label", "started_at", "finished_at", "_pairs", "_idx")
 
     def __init__(self, nbytes: float,
                  route: Sequence[Tuple[FluidResource, float]],
                  label: str = ""):
         self.uid = next(_flow_uids)
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
+        if not (0 <= nbytes < math.inf):
+            raise ValueError(f"nbytes must be finite and >= 0, got {nbytes}")
         if not route:
             raise ValueError("route must contain at least one resource")
         for _res, cost in route:
-            if cost <= 0:
-                raise ValueError("cost_per_byte must be positive")
+            if not (0 < cost < math.inf):
+                raise ValueError(
+                    f"cost_per_byte must be positive and finite, got {cost}")
         self.nbytes = float(nbytes)
         self.remaining = float(nbytes)
         self.route = list(route)
@@ -124,32 +130,13 @@ class Flow:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         # Routes are immutable, so the per-resource summed costs (a
-        # flow may cross the same bus twice) are computed once instead
-        # of on every reallocation.  Order: first appearance in the
-        # route, matching the historical per-reallocation dict build.
-        pairs: List[Tuple[FluidResource, float]] = []
-        index: Dict[int, int] = {}
-        int_costs = True
+        # flow may cross the same bus twice) are computed once, in
+        # first-appearance order along the route.
+        summed: Dict[FluidResource, float] = {}
         for res, cost in route:
-            c = float(cost)
-            if not c.is_integer():
-                int_costs = False
-            i = index.get(res.uid)
-            if i is None:
-                index[res.uid] = len(pairs)
-                pairs.append((res, c))
-            else:
-                pairs[i] = (res, pairs[i][1] + c)
-        self._pairs = pairs
-        #: all-integer cost weights make regrouped float sums exact,
-        #: enabling the vector solver's batched accumulation.
-        self._int_costs = int_costs
-        #: scan-friendly mirror of _pairs — (uid, summed_cost, res)
-        #: triples unpack without per-pair attribute lookups in the
-        #: reallocation hot loop.
-        self._scan = [(r.uid, c, r) for r, c in pairs]
-        #: position in FluidNetwork._active, stamped by the vector
-        #: solver at the start of each reallocation.
+            summed[res] = summed.get(res, 0.0) + float(cost)
+        self._pairs = list(summed.items())
+        #: position in the component being solved
         self._idx = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -159,20 +146,14 @@ class Flow:
 
 class FluidNetwork:
     """Tracks active flows over a set of resources and computes exact
-    completion times under max-min fair sharing.
+    completion times under max-min fair sharing."""
 
-    ``solver`` selects the allocation implementation: ``"vector"``
-    (default, numpy batch) or ``"scalar"`` (the historical loop, kept
-    as a reference for equivalence testing).  Both produce bit-for-bit
-    identical rates and completion times.
-    """
-
-    def __init__(self, sim: Simulator, solver: str = "vector"):
-        if solver not in ("vector", "scalar"):
-            raise ValueError(f"unknown solver {solver!r}")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.solver = solver
-        self._active: List[Flow] = []
+        #: active flows in start order (a dict for O(1) removal)
+        self._active: Dict[Flow, None] = {}
+        #: resources whose flow set changed since the last re-solve
+        self._dirty: List[FluidResource] = []
         self._wake_handle: Optional[Any] = None
         self._last_update = 0.0
 
@@ -191,9 +172,10 @@ class FluidNetwork:
             flow.done.succeed(flow)
             return flow.done
         self._advance()
-        self._active.append(flow)
-        for res, _cost in flow.route:
+        self._active[flow] = None
+        for res, _cost in flow._pairs:
             res.flows.append(flow)
+            self._dirty.append(res)
             if res._busy_since is None:
                 res._busy_since = self.sim.now
         self._reallocate()
@@ -230,31 +212,33 @@ class FluidNetwork:
             flow.done.succeed(flow)
 
     def _detach(self, flow: Flow) -> None:
-        self._active.remove(flow)
-        for res, _cost in flow.route:
+        del self._active[flow]
+        for res, _cost in flow._pairs:
             res.flows.remove(flow)
+            self._dirty.append(res)
             if not res.flows and res._busy_since is not None:
                 res.busy_time += self.sim.now - res._busy_since
                 res._busy_since = None
 
     def _reallocate(self) -> None:
-        """Progressive-filling max-min allocation, then schedule the
-        next completion wakeup."""
+        """Re-solve the components touched since the last call, then
+        schedule the next completion wakeup."""
         if self._wake_handle is not None:
             self._wake_handle.cancel()
             self._wake_handle = None
         if not self._active:
+            self._dirty.clear()
             return
-        if self.solver == "vector":
-            self._alloc_vector()
-        else:
-            self._alloc_scalar()
+        self._alloc_vector()
 
         # next completion
         next_done = float("inf")
         for flow in self._active:
-            if flow.rate > _EPS:
-                next_done = min(next_done, flow.remaining / flow.rate)
+            rate = flow.rate
+            if rate > _EPS:
+                t = flow.remaining / rate
+                if t < next_done:
+                    next_done = t
         if next_done < float("inf"):
             if self.sim.now + next_done <= self.sim.now:
                 # The residual transfer time is below the float
@@ -275,214 +259,33 @@ class FluidNetwork:
                 return
             self._wake_handle = self.sim.call_in(next_done, self._wakeup)
 
-    # -- vector solver -----------------------------------------------------
     def _alloc_vector(self) -> None:
-        """Numpy progressive filling, bit-for-bit equal to
-        :meth:`_alloc_scalar` (see the module docstring for the
-        equivalence argument)."""
-        active = self._active
-        n = len(active)
-        # Column order = first appearance scanning active flows in
-        # order — exactly the legacy weight-dict insertion order, so
-        # index-based tie-breaks match the dict-iteration tie-breaks.
-        # With all-integer costs (the overwhelmingly common case), the
-        # scan does one dict probe and one list-index add per pair and
-        # nothing else: the reverse map from a bottleneck column to
-        # its crossing flows already exists as ``res.flows``, and a
-        # flow's own columns resolve through ``col_of`` at freeze
-        # time.  Non-integer costs fall back to per-column flow lists
-        # so the freeze order (ascending flow position, pairs in
-        # _pairs order) replicates the legacy rounding exactly.
-        all_int = all(f._int_costs for f in active)
-        col_of: Dict[int, int] = {}
-        cap: List[float] = []
-        wl: List[float] = []
-        res_of_col: List[FluidResource] = []
-        col_flows: List[List[int]] = []
-        get_col = col_of.get
-        for fi, flow in enumerate(active):
-            flow.rate = 0.0
-            flow._idx = fi
-            if all_int:
-                for uid, cost, res in flow._scan:
-                    j = get_col(uid)
-                    if j is None:
-                        j = len(cap)
-                        col_of[uid] = j
-                        cap.append(res.capacity)
-                        wl.append(0.0)
-                        res_of_col.append(res)
-                    wl[j] += cost
-            else:
-                for uid, cost, res in flow._scan:
-                    j = get_col(uid)
-                    if j is None:
-                        j = len(cap)
-                        col_of[uid] = j
-                        cap.append(res.capacity)
-                        wl.append(0.0)
-                        res_of_col.append(res)
-                        col_flows.append([])
-                    col_flows[j].append(fi)
-        m = len(cap)
-        residual = np.array(cap, dtype=np.float64)
-        if not all_int:
-            # non-integer weights: replicate the legacy per-route-entry
-            # accumulation order so rounding matches bitwise.  (With
-            # all-integer costs every partial sum is exact, so the
-            # per-pair accumulation above is already identical.)
-            wl = [0.0] * m
-            for flow in active:
-                for res, cost in flow.route:
-                    wl[col_of[res.uid]] += cost
-        w = np.array(wl, dtype=np.float64)
-
-        def freeze_col(j: int, level: float) -> int:
-            """Freeze every unfixed flow crossing column j at
-            ``level``; returns how many froze.  Integer costs make
-            the weight subtractions exact, so the ``res.flows``
-            membership order is as good as the legacy ascending scan;
-            non-integer costs take the order-preserving path."""
-            froze = 0
-            if all_int:
-                for flow in res_of_col[j].flows:
-                    fi = flow._idx
-                    if not unfixed[fi]:
-                        continue
-                    flow.rate = level
-                    unfixed[fi] = False
-                    froze += 1
-                    for uid, c, _res in flow._scan:
-                        w[col_of[uid]] -= c
-            else:
-                for fi in col_flows[j]:
-                    if not unfixed[fi]:
-                        continue
-                    flow = active[fi]
-                    flow.rate = level
-                    unfixed[fi] = False
-                    froze += 1
-                    for uid, c, _res in flow._scan:
-                        w[col_of[uid]] -= c
-            return froze
-
-        inf = float("inf")
-        level = 0.0
-        unfixed = [True] * n
-        n_unfixed = n
-        while n_unfixed:
-            wmask = w > _EPS
-            if not wmask.any():
-                # No constraining resource left (shouldn't happen since
-                # every flow crosses at least one resource).
-                for fi in range(n):
-                    if unfixed[fi]:
-                        active[fi].rate = inf
-                break
-            d = np.divide(residual, w, out=np.full(m, inf), where=wmask)
-            dmin = d.min()
-            # Near-ties within the hysteresis band make the selection
-            # depend on the legacy fold's scan history; outside the
-            # band, first-occurrence argmin is provably identical.
-            straggler = bool(((d > dmin) & (d <= dmin + _EPS)).any())
-            if not straggler and dmin == 0.0:
-                # Zero-cascade: every saturated column freezes its
-                # crossers at the current level in one pass.  A zero
-                # delta leaves `level` and every residual bitwise
-                # unchanged, so this equals the legacy
-                # one-column-per-iteration sequence.
-                for j in np.nonzero((residual == 0.0) & wmask)[0]:
-                    j = int(j)
-                    if w[j] <= _EPS:
-                        continue
-                    n_unfixed -= freeze_col(j, level)
-                    w[j] = 0.0
+        """One re-solve: find the components reachable from the dirty
+        resources and allocate each one; every other flow keeps its
+        rate (see the module docstring)."""
+        dirty, self._dirty = self._dirty, []
+        seen: Dict[FluidResource, None] = {}
+        for seed in dirty:
+            if seed in seen:
                 continue
-            if straggler:
-                # exact replica of the legacy hysteresis fold
-                best = inf
-                sel = -1
-                for j in range(m):
-                    if w[j] <= _EPS:
+            seen[seed] = None
+            comp: Dict[Flow, None] = {}
+            stack = [seed]
+            while stack:
+                for flow in stack.pop().flows:
+                    if flow in comp:
                         continue
-                    delta = float(residual[j]) / float(w[j])
-                    if delta < best - _EPS or (
-                        delta < best + _EPS and sel < 0
-                    ):
-                        best = delta
-                        sel = j
-                j0 = sel
-                best_delta = best
-            else:
-                j0 = int(np.argmin(d))
-                best_delta = float(dmin)
-            level += best_delta
-            # residual update uses pre-freeze weights (legacy order)
-            residual -= w * best_delta
-            residual[residual < 0.0] = 0.0
-            n_unfixed -= freeze_col(j0, level)
-            w[j0] = 0.0
-
-    # -- scalar solver (test-only reference) -------------------------------
-    def _alloc_scalar(self) -> None:
-        """The historical dict-based progressive-filling loop, kept as
-        the reference implementation for the equivalence suite."""
-        # residual capacity and unfixed cost-weight per resource
-        residual: Dict[int, float] = {}
-        weight: Dict[int, float] = {}
-        flow_cost: Dict[int, Dict[int, float]] = {}
-        for flow in self._active:
-            flow.rate = 0.0
-            costs: Dict[int, float] = {}
-            for res, cost in flow.route:
-                rid = res.uid
-                residual.setdefault(rid, res.capacity)
-                weight[rid] = weight.get(rid, 0.0) + cost
-                # a flow may cross the same resource twice (e.g. a local
-                # copy through one bus counted once with summed cost) —
-                # accumulate.
-                costs[rid] = costs.get(rid, 0.0) + cost
-            flow_cost[flow.uid] = costs
-
-        unfixed = list(self._active)
-        level = 0.0
-        while unfixed:
-            # Which resource saturates first as all unfixed flows grow?
-            best_rid = None
-            best_delta = float("inf")
-            for rid, w in weight.items():
-                if w <= _EPS:
-                    continue
-                delta = residual[rid] / w
-                if delta < best_delta - _EPS or (
-                    delta < best_delta + _EPS and best_rid is None
-                ):
-                    best_delta = delta
-                    best_rid = rid
-            if best_rid is None:
-                # No constraining resource left (shouldn't happen since
-                # every flow crosses at least one resource).
-                for flow in unfixed:
-                    flow.rate = float("inf")
-                break
-            level += best_delta
-            # Freeze every unfixed flow crossing the bottleneck.
-            frozen = [f for f in unfixed
-                      if best_rid in flow_cost[f.uid]]
-            still = [f for f in unfixed
-                     if best_rid not in flow_cost[f.uid]]
-            for flow in frozen:
-                flow.rate = level
-            # Update residuals/weights for the remaining flows.
-            for rid in list(weight.keys()):
-                residual[rid] -= weight[rid] * best_delta
-                if residual[rid] < 0:
-                    residual[rid] = 0.0
-            for flow in frozen:
-                for rid, cost in flow_cost[flow.uid].items():
-                    weight[rid] -= cost
-            weight[best_rid] = 0.0
-            unfixed = still
+                    comp[flow] = None
+                    for res, _cost in flow._pairs:
+                        if res not in seen:
+                            seen[res] = None
+                            stack.append(res)
+            if len(comp) == 1:
+                (flow,) = comp
+                flow.rate = min(res.capacity / cost
+                                for res, cost in flow._pairs)
+            elif comp:
+                _fill(sorted(comp, key=_by_uid))
 
     def _wakeup(self) -> None:
         self._wake_handle = None
@@ -496,3 +299,58 @@ class FluidNetwork:
         if res._busy_since is not None:
             busy += self.sim.now - res._busy_since
         return busy / horizon if horizon > 0 else 0.0
+
+
+def _fill(flows: List[Flow]) -> None:
+    """Progressive filling over one connected component: all unfixed
+    flows grow at the same payload rate until a resource saturates,
+    the flows crossing it freeze at that rate, repeat."""
+    col: Dict[FluidResource, int] = {}
+    res_of_col: List[FluidResource] = []
+    wl: List[float] = []
+    for i, flow in enumerate(flows):
+        flow._idx = i
+        for res, cost in flow._pairs:
+            j = col.get(res)
+            if j is None:
+                j = col[res] = len(wl)
+                res_of_col.append(res)
+                wl.append(0.0)
+            wl[j] += cost
+    m = len(wl)
+    residual = np.array([r.capacity for r in res_of_col], dtype=np.float64)
+    w = np.array(wl, dtype=np.float64)
+    unfixed = [True] * len(flows)
+    n_unfixed = len(flows)
+
+    def freeze(j: int, level: float) -> None:
+        """Freeze every unfixed flow crossing column j at ``level``."""
+        nonlocal n_unfixed
+        for flow in res_of_col[j].flows:
+            if unfixed[flow._idx]:
+                flow.rate = level
+                unfixed[flow._idx] = False
+                n_unfixed -= 1
+                for res, c in flow._pairs:
+                    w[col[res]] -= c
+        w[j] = 0.0
+
+    inf = float("inf")
+    level = 0.0
+    while n_unfixed:
+        wmask = w > _EPS
+        d = np.divide(residual, w, out=np.full(m, inf), where=wmask)
+        dmin = d.min()
+        if dmin == 0.0:
+            # Zero-cascade: every saturated column freezes its
+            # crossers at the current level in one pass.
+            for j in np.nonzero((residual == 0.0) & wmask)[0]:
+                if w[j] > _EPS:
+                    freeze(int(j), level)
+            continue
+        j0 = int(np.argmin(d))
+        level += float(dmin)
+        # the residual update uses the pre-freeze weights
+        residual -= w * dmin
+        residual[residual < 0.0] = 0.0
+        freeze(j0, level)

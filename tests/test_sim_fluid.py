@@ -78,6 +78,29 @@ class TestSingleFlow:
         with pytest.raises(ValueError):
             FluidResource("bad", 0.0)
 
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, -math.inf])
+    def test_non_finite_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError):
+            FluidResource("bad", capacity)
+
+    @pytest.mark.parametrize("nbytes", [math.nan, math.inf])
+    def test_non_finite_nbytes_rejected(self, nbytes):
+        """A NaN transfer would never complete and hang its waiter."""
+        sim, net = make()
+        res = FluidResource("r", 100.0)
+        with pytest.raises(ValueError):
+            net.transfer(nbytes, [(res, 1.0)])
+        assert not net.active_flows
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf])
+    def test_non_finite_cost_rejected(self, cost):
+        """A NaN cost per byte would "complete" the transfer at once."""
+        sim, net = make()
+        res = FluidResource("r", 100.0)
+        with pytest.raises(ValueError):
+            net.transfer(10, [(res, 1.0), (res, cost)])
+        assert not net.active_flows and not res.flows
+
 
 class TestSharing:
     def test_two_equal_flows_halve_rate(self):
